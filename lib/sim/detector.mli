@@ -71,7 +71,9 @@ val source_of_table :
 
 val source_of_chunks : (int -> Rvu_trajectory.Compiled.t) -> source
 (** [source_of_chunks pull]: scan successive table chunks produced by
-    [pull max_segments] — an empty table ends the stream. Built for
+    [pull max_segments] — an empty table ends the stream. The scan asks
+    for 64 segments first and doubles each later request up to 16384,
+    so what it derives tracks what it scans. Built for
     {!Rvu_trajectory.Compiled.next_chunk}, whose chunks are only valid
     until the next pull: the scan honours that by discarding each chunk
     before pulling the next. *)

@@ -268,7 +268,11 @@ let arena_ensure a n =
    [advance]/[now]; a float array keeps the cells unboxed, unlike a
    [float ref] which would box every store) is resumed and left updated,
    so a chunked sequence of calls produces bit-for-bit the timestamps of
-   one uninterrupted pass. Returns [(next_i, kept)]. *)
+   one uninterrupted pass. Every column of every kept row is written,
+   zeros included where [of_timed] leaves its fresh columns at [0.0]:
+   arena columns hold whatever the last pass put in that slot, and a
+   wait row that kept a stale line slope in [asx]/[asy] would move.
+   Returns [(next_i, kept)]. *)
 let derive_range (c : Realize.clocked) src ~i0 ~max_kept ~(st : float array)
     ~t0 ~dur ~t_end ~speed ~kind ~local_dur ~g0 ~g1 ~g2 ~g3 ~g4 ~abx ~aby ~asx
     ~asy =
@@ -311,8 +315,13 @@ let derive_range (c : Realize.clocked) src ~i0 ~max_kept ~(st : float array)
         let py = oy +. (sc *. ((si *. x) +. (co *. ry))) in
         g0.(k) <- px;
         g1.(k) <- py;
+        g2.(k) <- 0.0;
+        g3.(k) <- 0.0;
+        g4.(k) <- 0.0;
         abx.(k) <- px;
         aby.(k) <- py;
+        asx.(k) <- 0.0;
+        asy.(k) <- 0.0;
         (* A wait's shape duration is frame-independent. *)
         local_dur.(k) <- src.local_dur.(!i);
         speed.(k) <- 0.0
@@ -330,6 +339,7 @@ let derive_range (c : Realize.clocked) src ~i0 ~max_kept ~(st : float array)
         g1.(k) <- sy;
         g2.(k) <- dx;
         g3.(k) <- dy;
+        g4.(k) <- 0.0;
         let len = Float.hypot (sx -. dx) (sy -. dy) in
         local_dur.(k) <- len;
         speed.(k) <- len /. dur';
@@ -351,6 +361,10 @@ let derive_range (c : Realize.clocked) src ~i0 ~max_kept ~(st : float array)
         g2.(k) <- radius;
         g3.(k) <- ang +. (chi *. src.g3.(!i));
         g4.(k) <- sweep;
+        abx.(k) <- 0.0;
+        aby.(k) <- 0.0;
+        asx.(k) <- 0.0;
+        asy.(k) <- 0.0;
         let len = radius *. Float.abs sweep in
         local_dur.(k) <- len;
         speed.(k) <- len /. dur'
@@ -511,9 +525,12 @@ let derive ?arena:(ar : arena option) (c : Realize.clocked) src ~tail =
    A [deriver] hands out the derived realisation in successive chunks,
    each a flat pass over just the next slice of the reference table with
    the Neumaier accumulator carried across calls, so derivation cost
-   tracks consumption exactly. Chunks share the deriver's arena: each is
-   valid only until the next [next_chunk] — the sequential-scan contract
-   of the detector, which discards a block before pulling the next. *)
+   tracks consumption: the detector asks for 64 rows first and doubles
+   each later request up to 16384, so a run that meets at interval 24
+   derives 64 rows (a fixed 16384-row block costs ~0.9 ms). Chunks
+   share the deriver's arena: each is valid only until the next
+   [next_chunk] — the sequential-scan contract of the detector, which
+   discards a block before pulling the next. *)
 
 type deriver = {
   dc : Realize.clocked;

@@ -131,8 +131,9 @@ type deriver
     accumulator across calls, so the concatenated chunks are bit-for-bit
     the single-pass table — but derivation cost tracks what the consumer
     actually reads. Meeting depths across a batch are wildly skewed; the
-    detector stops pulling chunks at the meeting, so a shallow run no
-    longer pays for the full reference prefix. *)
+    detector pulls 64 rows first, doubles each later pull up to 16384,
+    and stops pulling at the meeting, so a shallow run pays for about
+    the rows it scans, not for the full reference prefix. *)
 
 val deriver :
   ?arena:arena -> Realize.clocked -> t -> tail:Timed.t Seq.t -> deriver

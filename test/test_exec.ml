@@ -95,6 +95,29 @@ let prop_batch_bit_identical =
       let seq = Array.map (Rvu_sim.Engine.run ~horizon) instances in
       Array.for_all2 result_equal batch seq)
 
+(* Derivation tracks the scan: a round-1 meeting (loadgen template 0)
+   scans a few dozen intervals, so neither its derived chunks nor the
+   shared reference prefix they pull through may reach far past it (a
+   fixed 16384-row first pull would realize 16384 reference segments). *)
+let test_batch_derives_on_demand () =
+  let cache =
+    Rvu_trajectory.Stream_cache.create (Rvu_core.Universal.program ())
+  in
+  let inst =
+    Rvu_sim.Engine.instance
+      ~attributes:(Rvu_core.Attributes.make ~tau:0.5 ())
+      ~displacement:(Vec2.make 1.5 0.0) ~r:0.5
+  in
+  let res = Batch.run ~cache [| inst |] in
+  check_bool "round-1 meeting" true
+    (match res.(0).Rvu_sim.Engine.outcome with
+    | Rvu_sim.Detector.Hit t -> t < Rvu_core.Phases.round_end 1
+    | _ -> false);
+  let realized = Rvu_trajectory.Stream_cache.realized cache in
+  check_bool
+    (Printf.sprintf "realized %d <= 1024 reference segments" realized)
+    true (realized <= 1024)
+
 (* ------------------------------------------------------------------ *)
 (* Stream_cache under concurrency *)
 
@@ -187,6 +210,8 @@ let () =
           Alcotest.test_case "matches Engine.run" `Quick
             test_batch_matches_engine;
           QCheck_alcotest.to_alcotest prop_batch_bit_identical;
+          Alcotest.test_case "derives on demand" `Quick
+            test_batch_derives_on_demand;
         ] );
       ( "stream cache",
         [

@@ -515,6 +515,56 @@ let test_compiled_table_source () =
   check_bool "table-prefix source bit-identical" true
     (Gen.result_equal via_table plain)
 
+(* The service's derived path — a reference table from
+   [Stream_cache.compiled_source], the displaced robot derived from it
+   chunk by chunk — against the interpreted oracle. Deep instances (the
+   serve-cold family: tau near 1, d >= 6, r <= 0.03) scan 1.5k-11k
+   intervals below the horizon, crossing at least three of the deriver's
+   growing pulls (64 + 128 + 256 = 448 rows). The reference prefix is
+   either long enough to hold the whole scan (the flat derive path only)
+   or at most 256 segments, so the deriver runs off its end into
+   [resume_realize]; the cache's realized count witnesses which. *)
+let prop_derived_source_matches_interpreted =
+  let deep_gen =
+    QCheck.Gen.(
+      let* tau = float_range 0.9 0.99 in
+      let* d = float_range 6.0 8.0 in
+      let* bearing = float_range 0.0 6.2 in
+      let* r = float_range 0.01 0.03 in
+      let* prefix = oneof [ int_range 0 256; return 16384 ] in
+      return
+        ( Engine.instance
+            ~attributes:(Rvu_core.Attributes.make ~tau ())
+            ~displacement:(Vec2.of_polar ~radius:d ~angle:bearing)
+            ~r,
+          prefix ))
+  in
+  QCheck.Test.make
+    ~name:"engine: derived compiled_source path = Interpreted kernel"
+    ~count:16
+    (QCheck.make
+       ~print:(fun (inst, prefix) ->
+         Printf.sprintf "%s prefix=%d" (Gen.print_instance inst) prefix)
+       deep_gen)
+    (fun (inst, prefix) ->
+      let horizon = 2e4 in
+      let program = Rvu_core.Universal.program () in
+      let cache = Stream_cache.create program in
+      Seq.iter ignore (Seq.take prefix (Stream_cache.stream cache));
+      let tbl, tail = Stream_cache.compiled_source cache in
+      let derived =
+        Engine.run_with_source ~horizon
+          ~reference:(Detector.source_of_table tbl ~tail)
+          ~program inst
+      in
+      let oracle = Engine.run ~horizon ~kernel:Engine.Interpreted inst in
+      let scanned_past_prefix =
+        Stream_cache.realized cache > Compiled.length tbl
+      in
+      Gen.result_equal derived oracle
+      && derived.Engine.stats.Detector.intervals > 448
+      && scanned_past_prefix = (prefix < 16384))
+
 let test_compiled_empty_streams () =
   let outcome, (stats : Detector.stats) =
     Detector.first_meeting_sources ~r:1.0
@@ -707,6 +757,7 @@ let () =
           qc prop_compiled_engine_bit_identical;
           Alcotest.test_case "table-prefix source" `Quick
             test_compiled_table_source;
+          qc prop_derived_source_matches_interpreted;
           Alcotest.test_case "empty streams" `Quick test_compiled_empty_streams;
           Alcotest.test_case "validation" `Quick test_compiled_sources_validation;
         ] );

@@ -553,6 +553,37 @@ let prop_compiled_of_seq_split_roundtrip =
       && List.length glued = List.length full
       && List.for_all2 timed_equal glued full)
 
+(* Column-for-column table equality over the first [n] rows (arena-backed
+   columns run past [n]). Structural [=] on float arrays compares
+   numerically, so the documented ±0.0 slack is exactly what it admits. *)
+let columns_equal (a : Compiled.t) (b : Compiled.t) =
+  let n = Compiled.length a in
+  let eq x y = Array.sub x 0 n = Array.sub y 0 n in
+  n = Compiled.length b
+  && a.Compiled.start = b.Compiled.start
+  && a.Compiled.stop = b.Compiled.stop
+  && eq a.Compiled.t0 b.Compiled.t0
+  && eq a.Compiled.dur b.Compiled.dur
+  && eq a.Compiled.t_end b.Compiled.t_end
+  && eq a.Compiled.speed b.Compiled.speed
+  && eq a.Compiled.kind b.Compiled.kind
+  && eq a.Compiled.local_dur b.Compiled.local_dur
+  && eq a.Compiled.g0 b.Compiled.g0
+  && eq a.Compiled.g1 b.Compiled.g1
+  && eq a.Compiled.g2 b.Compiled.g2
+  && eq a.Compiled.g3 b.Compiled.g3
+  && eq a.Compiled.g4 b.Compiled.g4
+  && eq a.Compiled.abx b.Compiled.abx
+  && eq a.Compiled.aby b.Compiled.aby
+  && eq a.Compiled.asx b.Compiled.asx
+  && eq a.Compiled.asy b.Compiled.asy
+
+(* One arena shared by every case of the derive properties, as the
+   engine shares one per domain: each case writes over rows the previous
+   cases left, with different kinds in the same slots, so a derive that
+   skipped a column would surface its stale contents. *)
+let dirty_arena = Compiled.arena ()
+
 let prop_compiled_derive_matches_realize =
   QCheck.Test.make
     ~name:"compiled: derive equals compiling the re-realised stream" ~count:200
@@ -570,26 +601,11 @@ let prop_compiled_derive_matches_realize =
         Compiled.of_seq ~max_segments:(Compiled.length got)
           (Realize.realize c p)
       in
-      (* Structural [=] on float arrays compares numerically, so the
-         documented ±0.0 slack is exactly what it admits. *)
-      Compiled.length got = Compiled.length want
-      && got.Compiled.start = want.Compiled.start
-      && got.Compiled.stop = want.Compiled.stop
-      && got.Compiled.t0 = want.Compiled.t0
-      && got.Compiled.dur = want.Compiled.dur
-      && got.Compiled.t_end = want.Compiled.t_end
-      && got.Compiled.speed = want.Compiled.speed
-      && got.Compiled.kind = want.Compiled.kind
-      && got.Compiled.local_dur = want.Compiled.local_dur
-      && got.Compiled.g0 = want.Compiled.g0
-      && got.Compiled.g1 = want.Compiled.g1
-      && got.Compiled.g2 = want.Compiled.g2
-      && got.Compiled.g3 = want.Compiled.g3
-      && got.Compiled.g4 = want.Compiled.g4
-      && got.Compiled.abx = want.Compiled.abx
-      && got.Compiled.aby = want.Compiled.aby
-      && got.Compiled.asx = want.Compiled.asx
-      && got.Compiled.asy = want.Compiled.asy
+      let in_arena, (_ : Timed.t Seq.t) =
+        Compiled.derive ~arena:dirty_arena c ref_tbl ~tail:Seq.empty
+      in
+      columns_equal got want
+      && columns_equal in_arena want
       && List.for_all2 timed_equal
            (List.of_seq got_tail)
            (List.of_seq want_tail))
@@ -613,21 +629,28 @@ let prop_compiled_deriver_chunks_concat =
         List.of_seq (Compiled.to_seq full_tbl) @ List.of_seq full_tail
       in
       let ref_tbl', ref_tail' = reference () in
-      let d = Compiled.deriver c ref_tbl' ~tail:ref_tail' in
+      let d = Compiled.deriver ~arena:dirty_arena c ref_tbl' ~tail:ref_tail' in
       let sizes = Array.of_list sizes in
+      (* Each chunk's columns must be the ones its own segments compile
+         to, whatever the arena held before. *)
+      let consistent = ref true in
       let rec collect acc k =
         let chunk =
           Compiled.next_chunk d
             ~max_segments:sizes.(k mod Array.length sizes)
         in
         if Compiled.length chunk = 0 then List.rev acc
-        else
+        else begin
           (* Materialise before the next pull: chunks alias the arena. *)
-          collect (List.rev_append (List.of_seq (Compiled.to_seq chunk)) acc)
-            (k + 1)
+          let segs = Array.of_seq (Compiled.to_seq chunk) in
+          consistent :=
+            !consistent && columns_equal chunk (Compiled.of_timed segs);
+          collect (List.rev_append (Array.to_list segs) acc) (k + 1)
+        end
       in
       let got = collect [] 0 in
-      List.length got = List.length want
+      !consistent
+      && List.length got = List.length want
       && List.for_all2 timed_equal got want
       (* Exhaustion is sticky: further pulls stay empty. *)
       && Compiled.length (Compiled.next_chunk d ~max_segments:4) = 0)
