@@ -777,13 +777,10 @@ let config_term =
     $ cache_entries_arg $ timeout_arg $ max_request_bytes_arg)
 
 let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> addrs.(0)
-    | _ | (exception Not_found) ->
-        Format.eprintf "rvu: cannot resolve host %S@." host;
-        exit 1)
+  try Rvu_service.Transport.resolve_host host
+  with Invalid_argument msg ->
+    Format.eprintf "rvu: %s@." msg;
+    exit 1
 
 let hostport_conv =
   let parse s =
@@ -970,20 +967,7 @@ let line_of_frame payload =
    reserved id 0 — Loadgen's own ids start at 1) must be the first
    record, and its response is still a JSON line. *)
 let client_hello ic oc =
-  output_string oc "{\"id\":0,\"kind\":\"hello\",\"wire\":\"binary\"}\n";
-  flush oc;
-  let ok =
-    match Rvu_service.Wire.parse (input_line ic) with
-    | Error _ -> false
-    | Ok w -> (
-        match
-          Option.bind (Rvu_service.Wire.member "ok" w)
-            (Rvu_service.Wire.member "wire")
-        with
-        | Some (Rvu_service.Wire.String "binary") -> true
-        | _ -> false)
-  in
-  if not ok then begin
+  if not (Rvu_service.Transport.upgrade ic oc) then begin
     Format.eprintf "rvu: server rejected the binary wire upgrade@.";
     exit 1
   end
@@ -1019,37 +1003,28 @@ let loadgen_tcp lg ~host ~port ~rate ~connections ~wire =
     Array.map
       (fun (ic, _) ->
         Domain.spawn (fun () ->
-            try
-              match wire with
-              | Rvu_service.Wire_bin.Json ->
-                  while true do
-                    Rvu_service.Loadgen.note_response lg (input_line ic)
-                  done
-              | Rvu_service.Wire_bin.Binary ->
-                  let live = ref true in
-                  while !live do
-                    match Rvu_service.Wire_bin.input_frame ic with
-                    | Rvu_service.Wire_bin.Frame payload ->
-                        Rvu_service.Loadgen.note_response lg
-                          (line_of_frame payload)
-                    | Rvu_service.Wire_bin.Eof
-                    | Rvu_service.Wire_bin.Truncated
-                    | Rvu_service.Wire_bin.Oversized _ ->
-                        live := false
-                  done
-            with _ -> ()))
+            let r = Rvu_service.Transport.reader ~max_bytes:max_int ic in
+            let rec loop () =
+              match Rvu_service.Transport.read r wire with
+              | Rvu_service.Transport.Line line ->
+                  Rvu_service.Loadgen.note_response lg line;
+                  loop ()
+              | Rvu_service.Transport.Frame payload ->
+                  Rvu_service.Loadgen.note_response lg (line_of_frame payload);
+                  loop ()
+              | _ -> ()
+            in
+            try loop () with _ -> ()))
       chans
   in
   let next = ref 0 in
   Rvu_service.Loadgen.drive ~rate lg ~send:(fun line ->
       let _, oc = chans.(!next) in
       next := (!next + 1) mod connections;
-      (match wire with
-      | Rvu_service.Wire_bin.Json ->
-          output_string oc line;
-          output_char oc '\n'
-      | Rvu_service.Wire_bin.Binary ->
-          Rvu_service.Wire_bin.output_frame oc (frame_of_line line));
+      Rvu_service.Transport.output oc wire
+        (match wire with
+        | Rvu_service.Wire_bin.Json -> line
+        | Rvu_service.Wire_bin.Binary -> frame_of_line line);
       flush oc);
   let complete = Rvu_service.Loadgen.wait lg in
   Array.iter

@@ -10,6 +10,7 @@
 
 module Wire = Rvu_service.Wire
 module Wb = Rvu_service.Wire_bin
+module Transport = Rvu_service.Transport
 module Proto = Rvu_service.Proto
 module Metrics = Rvu_obs.Metrics
 module Log = Rvu_obs.Log
@@ -201,10 +202,6 @@ let set_status_locked sh status ~reason =
 (* ------------------------------------------------------------------ *)
 (* Dispatch, eviction, retry *)
 
-(* Render a value in the codec of a client connection. *)
-let render_client client w =
-  match client with Wb.Json -> Wire.print w | Wb.Binary -> Wb.encode w
-
 (* The router-id spelling spliced between [r_pre] and [r_post] — JSON
    digits on NDJSON shard connections, the 9-byte Int encoding on binary
    ones. *)
@@ -216,11 +213,7 @@ let rid_enc t rid =
 (* Write one request to a shard connection in the shard codec. Must hold
    [sh.lock] (callers handle the write-error teardown). *)
 let write_conn t (c : conn) payload =
-  (match t.config.wire with
-  | Wb.Json ->
-      output_string c.oc payload;
-      output_char c.oc '\n'
-  | Wb.Binary -> Wb.output_frame c.oc payload);
+  Transport.output c.oc t.config.wire payload;
   flush c.oc
 
 (* Close out a routed request's forward span: an 'X' complete event
@@ -294,7 +287,7 @@ and shed t (r : routed) reason =
     ~fields:[ ("ctx", Wire.String r.r_ctx); ("reason", Wire.String reason) ]
     "request shed";
   r.r_respond
-    (render_client r.r_client
+    (Transport.render r.r_client
        (Proto.error_response ~ctx:r.r_ctx ~id:r.r_id Proto.Overloaded reason));
   let dt = Clock.now_s () -. r.r_t0 in
   Metrics.observe t.m_latency dt;
@@ -379,24 +372,45 @@ let resolve_shard t (sh : shard) rid_opt ~build ~parsed =
           leave t
       | Some (Internal i, _) -> i.deliver (parsed ()))
 
-let handle_shard_line t (sh : shard) line =
-  let parsed = lazy (Wire.parse line) in
+(* A shard reply, in the shard codec. When the client speaks the same
+   codec the reply is spliced at its id and ctx spans; otherwise it is
+   transcoded through the parsed tree. *)
+let handle_shard_reply t (sh : shard) reply =
+  let wire = t.config.wire in
+  let parsed = lazy (Transport.parse wire reply) in
+  (* The reply's rid, and a splice of the client's id and ctx into it. *)
+  let spliceable =
+    match wire with
+    | Wb.Json ->
+        Option.map
+          (fun (rid, id_span, ctx_span) ->
+            ( rid,
+              fun (r : routed) ->
+                Frame.splice_response reply ~id_span ~ctx_span ~id:r.r_id_bytes
+                  ~ctx:(Some r.r_ctx_bytes) ))
+          (Frame.response_spans reply)
+    | Wb.Binary ->
+        Option.map
+          (fun (rid, id_span, ctx_span) ->
+            ( rid,
+              fun (r : routed) ->
+                Frame.bin_splice_response reply ~id_span ~ctx_span
+                  ~id:r.r_id_bytes ~ctx:r.r_ctx_bytes ))
+          (Frame.bin_response_spans reply)
+  in
   let rid_opt, build =
-    match Frame.response_spans line with
-    | Some (rid, id_span, ctx_span) ->
+    match spliceable with
+    | Some (rid, splice) ->
         ( Some rid,
           fun (r : routed) ->
-            match r.r_client with
-            | Wb.Json ->
-                Frame.splice_response line ~id_span ~ctx_span ~id:r.r_id_bytes
-                  ~ctx:(Some r.r_ctx_bytes)
-            | Wb.Binary -> (
-                match Lazy.force parsed with
-                | Ok w -> Wb.encode (substitute_envelope w r)
+            if r.r_client = wire then splice r
+            else
+              Transport.render r.r_client
+                (match Lazy.force parsed with
+                | Ok w -> substitute_envelope w r
                 | Error _ ->
-                    Wb.encode
-                      (Proto.error_response ~ctx:r.r_ctx ~id:r.r_id
-                         Proto.Internal "unreadable shard response")) )
+                    Proto.error_response ~ctx:r.r_ctx ~id:r.r_id Proto.Internal
+                      "unreadable shard response") )
     | None -> (
         match Lazy.force parsed with
         | Ok w -> (
@@ -404,91 +418,55 @@ let handle_shard_line t (sh : shard) line =
             | Some (Wire.Int rid) ->
                 ( Some rid,
                   fun (r : routed) ->
-                    render_client r.r_client (substitute_envelope w r) )
-            | _ -> (None, fun _ -> line))
-        | Error _ -> (None, fun _ -> line))
+                    Transport.render r.r_client (substitute_envelope w r) )
+            | _ -> (None, fun _ -> reply))
+        | Error _ -> (None, fun _ -> reply))
   in
   resolve_shard t sh rid_opt ~build ~parsed:(fun () ->
       Result.to_option (Lazy.force parsed))
 
-let handle_shard_frame t (sh : shard) payload =
-  let parsed = lazy (Wb.decode payload) in
-  let rid_opt, build =
-    match Frame.bin_response_spans payload with
-    | Some (rid, id_span, ctx_span) ->
-        ( Some rid,
-          fun (r : routed) ->
-            match r.r_client with
-            | Wb.Binary ->
-                Frame.bin_splice_response payload ~id_span ~ctx_span
-                  ~id:r.r_id_bytes ~ctx:r.r_ctx_bytes
-            | Wb.Json -> (
-                match Lazy.force parsed with
-                | Ok w -> Wire.print (substitute_envelope w r)
-                | Error _ ->
-                    Wire.print
-                      (Proto.error_response ~ctx:r.r_ctx ~id:r.r_id
-                         Proto.Internal "unreadable shard response")) )
-    | None -> (
-        match Lazy.force parsed with
-        | Ok w -> (
-            match Wire.member "id" w with
-            | Some (Wire.Int rid) ->
-                ( Some rid,
-                  fun (r : routed) ->
-                    render_client r.r_client (substitute_envelope w r) )
-            | _ -> (None, fun _ -> payload))
-        | Error _ -> (None, fun _ -> payload))
-  in
-  resolve_shard t sh rid_opt ~build ~parsed:(fun () ->
-      Result.to_option (Lazy.force parsed))
+(* A domain whose end can be polled, so finished ones are joined as new
+   ones start instead of piling up until shutdown. *)
+let spawn_tracked f =
+  let r = { r_done = Atomic.make false; r_domain = None } in
+  r.r_domain <-
+    Some
+      (Domain.spawn (fun () ->
+           Fun.protect ~finally:(fun () -> Atomic.set r.r_done true) f));
+  r
+
+let finished ~all r = all || Atomic.get r.r_done
+let join r = Option.iter Domain.join r.r_domain
 
 let spawn_reader t (sh : shard) conn =
-  let reader = { r_done = Atomic.make false; r_domain = None } in
-  let d =
-    Domain.spawn (fun () ->
-        (try
-           match t.config.wire with
-           | Wb.Json ->
-               while true do
-                 let line = input_line conn.ic in
-                 handle_shard_line t sh line
-               done
-           | Wb.Binary ->
-               let running = ref true in
-               while !running do
-                 match
-                   Wb.input_frame ~max_bytes:t.config.max_request_bytes
-                     conn.ic
-                 with
-                 | Wb.Frame payload -> handle_shard_frame t sh payload
-                 | Wb.Eof | Wb.Truncated | Wb.Oversized _ -> running := false
-               done
-         with _ -> ());
+  let reader =
+    spawn_tracked (fun () ->
+        (* Replies are not requests: the request limit does not apply. *)
+        let r = Transport.reader ~max_bytes:max_int conn.ic in
+        let rec loop () =
+          match Transport.read r t.config.wire with
+          | Transport.Line reply | Transport.Frame reply ->
+              handle_shard_reply t sh reply;
+              loop ()
+          | Transport.Eof | Transport.Truncated | Transport.Oversized _ -> ()
+        in
+        (try loop () with _ -> ());
         mark_down t sh ~gen:conn.gen ~reason:"connection closed";
         (* Single closer: the reader owns the descriptor's lifetime. The
            writer stops at [mark_down] (conn is gone before we get here),
            so closing cannot race a write. *)
-        close_in_noerr conn.ic;
-        Atomic.set reader.r_done true)
+        close_in_noerr conn.ic)
   in
-  reader.r_domain <- Some d;
   Mutex.lock t.lock;
   t.readers <- reader :: t.readers;
   Mutex.unlock t.lock
 
 let reap_readers t ~all =
   Mutex.lock t.lock;
-  let finished, running =
-    List.partition
-      (fun r -> all || Atomic.get r.r_done)
-      t.readers
-  in
+  let finished, running = List.partition (finished ~all) t.readers in
   t.readers <- running;
   Mutex.unlock t.lock;
-  List.iter
-    (fun r -> match r.r_domain with Some d -> Domain.join d | None -> ())
-    finished
+  List.iter join finished
 
 (* ------------------------------------------------------------------ *)
 (* Internal sub-requests (probes, fan-out) *)
@@ -496,10 +474,8 @@ let reap_readers t ~all =
 (* An internal sub-request ([health]/[stats]/[metrics]) in the shard
    codec. *)
 let internal_request t ~rid kind =
-  match t.config.wire with
-  | Wb.Json -> Printf.sprintf "{\"id\":%d,\"kind\":%S}" rid kind
-  | Wb.Binary ->
-      Wb.encode (Wire.Obj [ ("id", Wire.Int rid); ("kind", Wire.String kind) ])
+  Transport.render t.config.wire
+    (Wire.Obj [ ("id", Wire.Int rid); ("kind", Wire.String kind) ])
 
 let send_internal t (sh : shard) ~rid ~deadline ~deliver payload =
   Mutex.lock sh.lock;
@@ -612,7 +588,7 @@ let attempt_connect t (sh : shard) ~initial =
   match
     Unix.connect sock
       (Unix.ADDR_INET
-         (Rvu_service.Server.resolve_host sh.endpoint.host, sh.endpoint.port))
+         (Transport.resolve_host sh.endpoint.host, sh.endpoint.port))
   with
   | exception _ ->
       (try Unix.close sock with _ -> ());
@@ -635,18 +611,9 @@ let attempt_connect t (sh : shard) ~initial =
             match
               Unix.setsockopt_float sock Unix.SO_RCVTIMEO
                 (Float.max 1.0 (t.config.connect_timeout_ms /. 1000.0));
-              output_string oc "{\"id\":0,\"kind\":\"hello\",\"wire\":\"binary\"}\n";
-              flush oc;
-              let reply = input_line ic in
+              let upgraded = Transport.upgrade ic oc in
               Unix.setsockopt_float sock Unix.SO_RCVTIMEO 0.0;
-              match Wire.parse reply with
-              | Ok w -> (
-                  match
-                    Option.bind (Wire.member "ok" w) (Wire.member "wire")
-                  with
-                  | Some (Wire.String "binary") -> true
-                  | _ -> false)
-              | Error _ -> false
+              upgraded
             with
             | ok -> ok
             | exception _ -> false)
@@ -845,7 +812,9 @@ let handle_fanout t ~client env ~respond =
           | Proto.Metrics_prometheus -> Wire.String (Merge.prometheus merged))
       | _ -> Wire.Null
     in
-    respond (render_client client (Proto.ok_response ~ctx ~id:env.Proto.id payload));
+    respond
+      (Transport.render client
+         (Proto.ok_response ~ctx ~id:env.Proto.id payload));
     Metrics.observe t.m_latency (Clock.now_s () -. t0);
     leave t
   in
@@ -891,7 +860,7 @@ let local_error t ~client ~respond ~count_latency ~id code msg =
   Log.warn
     ~fields:[ ("ctx", Wire.String ctx); ("error", Wire.String msg) ]
     "request rejected";
-  respond (render_client client (Proto.error_response ~ctx ~id code msg));
+  respond (Transport.render client (Proto.error_response ~ctx ~id code msg));
   if count_latency then Metrics.observe t.m_latency 0.0
 
 (* A client request that passed its codec's parse as an object. [bytes]
@@ -941,10 +910,7 @@ let route_parsed t ~client ~bytes w ~respond =
           let trace = Option.map Trace.to_traceparent span in
           let shard_bytes =
             if client = t.config.wire then bytes
-            else
-              match t.config.wire with
-              | Wb.Json -> Wire.print w
-              | Wb.Binary -> Wb.encode w
+            else Transport.render t.config.wire w
           in
           let pre, post =
             match t.config.wire with
@@ -956,11 +922,8 @@ let route_parsed t ~client ~bytes w ~respond =
             | Wb.Json -> Frame.routing_parts shard_bytes
             | Wb.Binary -> Frame.bin_routing_parts shard_bytes
           in
-          let id_bytes, ctx_bytes =
-            match t.config.wire with
-            | Wb.Json -> (Wire.print id, Wire.print (Wire.String ctx))
-            | Wb.Binary -> (Wb.encode id, Wb.encode (Wire.String ctx))
-          in
+          let id_bytes = Transport.render t.config.wire id in
+          let ctx_bytes = Transport.render t.config.wire (Wire.String ctx) in
           let kind =
             match Wire.member "kind" w with
             | Some (Wire.String k) -> k
@@ -987,198 +950,81 @@ let route_parsed t ~client ~bytes w ~respond =
               r_respond = respond;
             })
 
-let handle_line t line ~respond =
-  (* Keep 64 bytes of headroom under the workers' limit: the router
-     prepends its own id member, and a forwarded line must never bounce
-     off a worker's oversized-line guard (those rejections carry a null
-     id and could not be matched back). *)
-  let limit = t.config.max_request_bytes - 64 in
-  if String.length line > limit then
-    let ctx = Ctx.generate () in
-    respond
-      (Wire.print
-         (Proto.error_response ~ctx ~id:Wire.Null Proto.Invalid_request
-            (Printf.sprintf "request line of %d bytes exceeds the %d byte limit"
-               (String.length line) limit)))
-  else
-    match Wire.parse line with
-    | Error e ->
-        let ctx = Ctx.generate () in
-        Log.warn
-          ~fields:[ ("error", Wire.String (Wire.error_to_string e)) ]
-          "request parse error";
-        respond
-          (Wire.print
-             (Proto.error_response ~ctx ~id:Wire.Null Proto.Parse_error
-                (Wire.error_to_string e)))
-    | Ok (Wire.Obj _ as w) ->
-        route_parsed t ~client:Wb.Json ~bytes:line w ~respond
-    | Ok v ->
-        local_error t ~client:Wb.Json ~respond ~count_latency:false
-          ~id:Wire.Null Proto.Invalid_request
-          (Printf.sprintf "expected a request object, got %s" (Wire.kind_name v))
+(* Keep 64 bytes of headroom under the workers' limit: the router
+   prepends its own id member, and a forwarded record must never bounce
+   off a worker's oversized-record guard (those rejections carry a null
+   id and could not be matched back). *)
+let record_limit t = t.config.max_request_bytes - 64
 
-let handle_payload t payload ~respond =
-  (* Same headroom logic as [handle_line]: the router's prepended id
-     member must never push a forwarded frame over a worker's limit. *)
-  let limit = t.config.max_request_bytes - 64 in
-  if String.length payload > limit then
-    let ctx = Ctx.generate () in
-    respond
-      (Wb.encode
-         (Proto.error_response ~ctx ~id:Wire.Null Proto.Invalid_request
-            (Printf.sprintf
-               "request frame of %d bytes exceeds the %d byte limit"
-               (String.length payload) limit)))
+(* One client record, in the client connection's codec. *)
+let handle_record t ~client bytes ~respond =
+  let limit = record_limit t in
+  if String.length bytes > limit then
+    Transport.reject_oversized ~wire:client ~limit (String.length bytes)
+      ~respond
   else
-    match Wb.decode payload with
+    match Transport.parse client bytes with
     | Error msg ->
         let ctx = Ctx.generate () in
-        Log.warn
-          ~fields:[ ("error", Wire.String msg) ]
-          "request parse error";
+        Log.warn ~fields:[ ("error", Wire.String msg) ] "request parse error";
         respond
-          (Wb.encode
+          (Transport.render client
              (Proto.error_response ~ctx ~id:Wire.Null Proto.Parse_error msg))
-    | Ok (Wire.Obj _ as w) ->
-        route_parsed t ~client:Wb.Binary ~bytes:payload w ~respond
+    | Ok (Wire.Obj _ as w) -> route_parsed t ~client ~bytes w ~respond
     | Ok v ->
-        local_error t ~client:Wb.Binary ~respond ~count_latency:false
-          ~id:Wire.Null Proto.Invalid_request
+        local_error t ~client ~respond ~count_latency:false ~id:Wire.Null
+          Proto.Invalid_request
           (Printf.sprintf "expected a request object, got %s" (Wire.kind_name v))
 
-let await handle t input =
-  let result = ref None in
-  let m = Mutex.create () in
-  let c = Condition.create () in
-  handle t input ~respond:(fun resp ->
-      Mutex.lock m;
-      result := Some resp;
-      Condition.signal c;
-      Mutex.unlock m);
-  Mutex.lock m;
-  while !result = None do
-    Condition.wait c m
-  done;
-  Mutex.unlock m;
-  Option.get !result
+let handle_line t = handle_record t ~client:Wb.Json
+let handle_payload t = handle_record t ~client:Wb.Binary
 
-let handle_sync t line = await handle_line t line
-let handle_payload_sync t payload = await handle_payload t payload
+let handle_sync t line = Transport.call (handle_line t line)
+let handle_payload_sync t payload = Transport.call (handle_payload t payload)
 
 (* ------------------------------------------------------------------ *)
 (* Transports *)
 
-(* The first record on a connection may be a transport-negotiation hello;
-   the router answers it itself (it owns the client connection — shards
-   only ever see evaluation traffic). *)
-let hello_env line =
-  match Wire.parse line with
-  | Ok w -> (
-      match Proto.request_of_wire w with
-      | Ok ({ Proto.request = Proto.Hello m; _ } as env) -> Some (env, m)
-      | _ -> None)
-  | Error _ -> None
-
 let serve_channels t ic oc =
-  let out_lock = Mutex.create () in
-  let mode = ref Wb.Json in
-  let respond payload =
-    Mutex.lock out_lock;
-    (try
-       (match !mode with
-       | Wb.Json ->
-           output_string oc payload;
-           output_char oc '\n'
-       | Wb.Binary -> Wb.output_frame oc payload);
-       flush oc
-     with _ -> ());
-    Mutex.unlock out_lock
-  in
-  (* The hello response is written before [mode] flips, so it always goes
-     out as a JSON line — same handshake as a direct server. No routed
-     request can be in flight yet (hello is only honoured first), so no
-     concurrent [respond] can observe the flip mid-connection. *)
-  let negotiate env m =
-    let ctx = Ctx.derive env.Proto.id in
-    respond
-      (Wire.print
-         (Proto.ok_response ~ctx ~id:env.Proto.id
-            (Wire.Obj [ ("wire", Wire.String (Wb.mode_string m)) ])));
-    mode := m
-  in
-  let first = ref true in
-  let closed = ref false in
-  (try
-     while not !closed do
-       match !mode with
-       | Wb.Json -> (
-           match input_line ic with
-           | exception End_of_file -> closed := true
-           | line ->
-               if String.trim line <> "" then begin
-                 let was_first = !first in
-                 first := false;
-                 match if was_first then hello_env line else None with
-                 | Some (env, m) -> negotiate env m
-                 | None -> handle_line t line ~respond
-               end)
-       | Wb.Binary -> (
-           match Wb.input_frame ~max_bytes:t.config.max_request_bytes ic with
-           | Wb.Frame payload -> handle_payload t payload ~respond
-           | Wb.Eof -> closed := true
-           | Wb.Truncated ->
-               Log.warn "connection closed mid-frame";
-               closed := true
-           | Wb.Oversized len ->
-               (* Resynchronising after a hostile length prefix is
-                  guesswork: answer, then close. *)
-               let ctx = Ctx.generate () in
-               respond
-                 (Wb.encode
-                    (Proto.error_response ~ctx ~id:Wire.Null
-                       Proto.Invalid_request
-                       (Printf.sprintf
-                          "request frame of %d bytes exceeds the %d byte limit"
-                          len t.config.max_request_bytes)));
-               closed := true)
-     done
-   with End_of_file -> ());
-  wait_idle t;
-  try flush oc with _ -> ()
+  Transport.serve
+    {
+      Transport.max_bytes = record_limit t;
+      line = handle_line t;
+      payload = handle_payload t;
+      answered =
+        (function
+        | `Hello dt -> Metrics.observe t.m_latency dt | `Oversized -> ());
+      wait_idle = (fun () -> wait_idle t);
+    }
+    ic oc
 
 let serve_tcp t ~host ~port ?connections () =
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Rvu_service.Server.resolve_host host, port));
-  Unix.listen sock 64;
-  Printf.eprintf "rvu router: listening on %s:%d\n%!" host port;
+  let sock = Transport.listen ~name:"router" ~host ~port in
+  let m_sessions =
+    Metrics.gauge ~help:"Client session domains started and not yet joined"
+      "rvu_router_sessions"
+  in
   let sessions = ref [] in
+  let reap ~all =
+    let finished, running = List.partition (finished ~all) !sessions in
+    sessions := running;
+    List.iter join finished;
+    Metrics.gauge_set m_sessions (float_of_int (List.length running))
+  in
   let rec loop remaining =
     if remaining <> Some 0 then begin
       let fd, _peer = Unix.accept sock in
-      let d =
-        Domain.spawn (fun () ->
-            let ic = Unix.in_channel_of_descr fd in
-            let oc = Unix.out_channel_of_descr fd in
-            Log.debug "router connection accepted";
-            (try serve_channels t ic oc
-             with e ->
-               Log.error
-                 ~fields:[ ("exn", Wire.String (Printexc.to_string e)) ]
-                 "router connection error");
-            Log.debug "router connection closed";
-            close_out_noerr oc)
-      in
-      sessions := d :: !sessions;
+      reap ~all:false;
+      sessions :=
+        spawn_tracked (fun () ->
+            Transport.serve_socket ~name:"router" (serve_channels t) fd)
+        :: !sessions;
+      Metrics.gauge_set m_sessions (float_of_int (List.length !sessions));
       loop (Option.map (fun n -> n - 1) remaining)
     end
   in
   loop connections;
-  List.iter Domain.join !sessions;
+  reap ~all:true;
   Unix.close sock
 
 (* ------------------------------------------------------------------ *)

@@ -107,17 +107,23 @@ val shard_statuses : t -> string array
     the ring admits exactly the ["ready"] ones. For tests and stats. *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
-(** Serve one session until end-of-input, then drain and flush.
-    Connections start as NDJSON; a [hello] record with ["wire":"binary"]
-    as the first record upgrades the connection to length-prefixed
-    binary frames, exactly as on a direct server. Responses are written
-    under a lock, flushed per record. *)
+(** Serve one session until end-of-input, then drain and flush:
+    {!Rvu_service.Transport.serve} with the router's handlers, so the
+    connection handling (hello upgrade, record limit, oversized replies,
+    write coalescing) is exactly a direct server's. The record limit is
+    [max_request_bytes] less the envelope headroom; a hello is timed into
+    the router's request histogram. *)
 
 val serve_tcp : t -> host:string -> port:int -> ?connections:int -> unit -> unit
-(** Bind, listen, and serve each accepted connection on its own domain
-    (concurrent, unlike the single-shard server — the router is the
-    process clients share). [connections] bounds how many connections to
-    accept before returning (default: forever). *)
+(** Bind, listen, and serve each accepted connection ([TCP_NODELAY] set)
+    on its own domain (concurrent, unlike the single-shard server — the
+    router is the process clients share). Finished session domains are
+    joined as new connections are accepted; the
+    [rvu_router_sessions] gauge counts those not yet joined.
+    [connections] bounds how many connections to accept before
+    returning (default: forever). Router→shard connections keep Nagle's
+    algorithm: a shard answers every forwarded request promptly, and that
+    reply carries the ACK. *)
 
 val stop : t -> unit
 (** Stop the supervisor, close shard connections (in-flight requests are

@@ -261,9 +261,7 @@ let log_response ~kind ~t0 outcome =
    the codec per connection never moved a JSON byte. *)
 
 let render_ok_body ~wire ~ctx ~id body =
-  match wire with
-  | Wire_bin.Json -> Wire.print (Proto.ok_response ~ctx ~id body)
-  | Wire_bin.Binary -> Wire_bin.encode (Proto.ok_response ~ctx ~id body)
+  Transport.render wire (Proto.ok_response ~ctx ~id body)
 
 let render_ok_payload ~wire ~ctx ~id p =
   match wire with
@@ -271,9 +269,7 @@ let render_ok_payload ~wire ~ctx ~id p =
   | Wire_bin.Binary -> Payload.ok_bin p ~ctx ~id
 
 let render_error ~wire ~ctx ~id code msg =
-  match wire with
-  | Wire_bin.Json -> Wire.print (Proto.error_response ~ctx ~id code msg)
-  | Wire_bin.Binary -> Wire_bin.encode (Proto.error_response ~ctx ~id code msg)
+  Transport.render wire (Proto.error_response ~ctx ~id code msg)
 
 (* The serve-side span context for a request that propagated [trace]: a
    child of the sender's context when the member parsed, a fresh root
@@ -412,17 +408,10 @@ let reject_parse ~wire t msg ~respond =
       Rvu_obs.Log.warn ~fields:[ ("error", Wire.String msg) ] "request parse error";
       respond (render_error ~wire ~ctx ~id:Wire.Null Proto.Parse_error msg))
 
-let reject_oversized ~wire ~noun t bytes ~respond =
-  let ctx = Rvu_obs.Ctx.generate () in
-  Rvu_obs.Ctx.with_ctx ctx (fun () ->
-      count t `Error;
-      Rvu_obs.Log.warn
-        ~fields:[ ("bytes", Wire.Int bytes) ]
-        "request rejected: oversized";
-      respond
-        (render_error ~wire ~ctx ~id:Wire.Null Proto.Invalid_request
-           (Printf.sprintf "request %s of %d bytes exceeds the %d byte limit"
-              noun bytes t.config.max_request_bytes)))
+let reject_oversized ~wire t bytes ~respond =
+  count t `Error;
+  Transport.reject_oversized ~wire ~limit:t.config.max_request_bytes bytes
+    ~respond
 
 let handle_line t line ~respond =
   let line =
@@ -434,8 +423,7 @@ let handle_line t line ~respond =
     else line
   in
   if String.length line > t.config.max_request_bytes then
-    reject_oversized ~wire:Wire_bin.Json ~noun:"line" t (String.length line)
-      ~respond
+    reject_oversized ~wire:Wire_bin.Json t (String.length line) ~respond
   else
     match Wire.parse line with
     | Error e ->
@@ -492,8 +480,7 @@ let handle_payload t payload ~respond =
     else payload
   in
   if String.length payload > t.config.max_request_bytes then
-    reject_oversized ~wire:Wire_bin.Binary ~noun:"frame" t
-      (String.length payload) ~respond
+    reject_oversized ~wire:Wire_bin.Binary t (String.length payload) ~respond
   else
     (* Warm fast path: a well-formed envelope whose id is echoable
        ([null]/int/string — anything else is invalid and must take the
@@ -570,182 +557,42 @@ let handle_payload t payload ~respond =
                         ]
                       ~ts_us:(t0 *. 1e6) ~dur_us:(dt *. 1e6) "serve")))
 
-let await handle =
-  let lock = Mutex.create () in
-  let done_ = Condition.create () in
-  let result = ref None in
-  handle ~respond:(fun resp ->
-      Mutex.lock lock;
-      result := Some resp;
-      Condition.signal done_;
-      Mutex.unlock lock);
-  Mutex.lock lock;
-  while !result = None do
-    Condition.wait done_ lock
-  done;
-  Mutex.unlock lock;
-  Option.get !result
-
-let handle_sync t line = await (handle_line t line)
-let handle_payload_sync t payload = await (handle_payload t payload)
+let handle_sync t line = Transport.call (handle_line t line)
+let handle_payload_sync t payload = Transport.call (handle_payload t payload)
 let frame_cache_stats t = Lru.stats t.frames
 
 (* ------------------------------------------------------------------ *)
 (* Transports *)
 
-(* The first record on a connection, if it is a well-formed hello —
-   anything else (including a malformed one) takes the ordinary request
-   path and the connection stays JSON. *)
-let hello_env line =
-  match Wire.parse line with
-  | Error _ -> None
-  | Ok w -> (
-      match Proto.request_of_wire w with
-      | Ok ({ Proto.request = Proto.Hello m; _ } as env) -> Some (env, m)
-      | Ok _ | Error _ -> None)
-
-let serve_channels ?(wire = Wire_bin.Json) t ic oc =
-  let out_lock = Mutex.create () in
-  (* The connection's codec. Starts at [wire] (binary-from-byte-zero for
-     [--wire binary] deployments; Json by default). Flipped only between
-     the (JSON) hello response and the next read, with no request
-     outstanding — every other read of this ref sees a settled value. *)
-  let mode = ref wire in
-  let respond payload =
-    Mutex.lock out_lock;
-    (try
-       (* Injected connection drop: the client vanished between accept and
-          response. The write path must swallow it like a real EPIPE. *)
-       if Rvu_obs.Fault.fire fault_drop_conn then raise Exit;
-       (match !mode with
-       | Wire_bin.Json ->
-           output_string oc payload;
-           output_char oc '\n'
-       | Wire_bin.Binary -> Wire_bin.output_frame oc payload);
-       flush oc
-     with _ -> () (* client went away; keep serving the rest *));
-    Mutex.unlock out_lock
+let serve_channels ?wire t ic oc =
+  let guard respond payload =
+    (* Injected connection drop: the client vanished between accept and
+       response. The write path must swallow it like a real EPIPE. *)
+    if not (Rvu_obs.Fault.fire fault_drop_conn) then respond payload
   in
-  let negotiate env m =
-    let ctx = Rvu_obs.Ctx.derive env.Proto.id in
-    Rvu_obs.Ctx.with_ctx ctx (fun () ->
-        let t0 = Rvu_obs.Clock.now_s () in
-        count t `Ok;
-        (* The hello response is always JSON (the mode flips after it),
-           so a client can read it with line discipline before switching
-           its own codec. *)
-        respond
-          (Wire.print
-             (Proto.ok_response ~ctx ~id:env.Proto.id
-                (Wire.Obj [ ("wire", Wire.String (Wire_bin.mode_string m)) ])));
-        log_response ~kind:"hello" ~t0 (Ok ());
-        Rvu_obs.Metrics.observe (request_seconds "hello")
-          (Rvu_obs.Clock.now_s () -. t0));
-    mode := m
-  in
-  let first = ref true in
-  let closed = ref false in
-  (* Pinned-binary start ([~wire:Binary]): sniff the connection's first
-     byte. A frame's length prefix never starts with '{' under any sane
-     request limit (0x7B as its high byte would announce a >= 2 GiB
-     frame), so a '{' first byte is a JSON client — typically a hello
-     upgrade line — and the connection falls back to line discipline,
-     the hello still honoured. Pinned peers start framing at byte zero
-     and never hit this. *)
-  let carry_line = ref None in
-  let carry_byte = ref None in
-  (match !mode with
-  | Wire_bin.Json -> ()
-  | Wire_bin.Binary -> (
-      match input_char ic with
-      | exception End_of_file -> closed := true
-      | '{' ->
-          mode := Wire_bin.Json;
-          carry_line :=
-            Some
-              (match input_line ic with
-              | rest -> "{" ^ rest
-              | exception End_of_file -> "{")
-      | c -> carry_byte := Some c));
-  (try
-     while not !closed do
-       match !mode with
-       | Wire_bin.Json ->
-           let line =
-             match !carry_line with
-             | Some l ->
-                 carry_line := None;
-                 l
-             | None -> input_line ic
-           in
-           if String.trim line <> "" then begin
-             let is_first = !first in
-             first := false;
-             match if is_first then hello_env line else None with
-             | Some (env, m) -> negotiate env m
-             | None -> handle_line t line ~respond
-           end
-       | Wire_bin.Binary -> (
-           let first_byte = !carry_byte in
-           carry_byte := None;
-           match
-             Wire_bin.input_frame ?first:first_byte
-               ~max_bytes:t.config.max_request_bytes ic
-           with
-           | Wire_bin.Frame payload -> handle_payload t payload ~respond
-           | Wire_bin.Eof -> closed := true
-           | Wire_bin.Truncated ->
-               (* Mid-frame EOF: nothing to answer (the record never
-                  arrived whole) and nothing to resync to. *)
-               Rvu_obs.Log.warn "connection closed mid-frame";
-               closed := true
-           | Wire_bin.Oversized len ->
-               (* The remaining payload bytes were not consumed, so the
-                  stream position is unknowable — answer and close rather
-                  than guess at a resync. *)
-               reject_oversized ~wire:Wire_bin.Binary ~noun:"frame" t len
-                 ~respond;
-               closed := true)
-     done
-   with End_of_file -> ());
-  wait_idle t;
-  try flush oc with _ -> ()
-
-let resolve host =
-  try Unix.inet_addr_of_string host
-  with _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> addrs.(0)
-    | _ | (exception Not_found) ->
-        invalid_arg (Printf.sprintf "Server.serve_tcp: cannot resolve %S" host))
-
-let resolve_host = resolve
+  Transport.serve ?wire
+    {
+      Transport.max_bytes = t.config.max_request_bytes;
+      line = (fun line ~respond -> handle_line t line ~respond:(guard respond));
+      payload =
+        (fun payload ~respond ->
+          handle_payload t payload ~respond:(guard respond));
+      answered =
+        (function
+        | `Hello dt ->
+            count t `Ok;
+            Rvu_obs.Metrics.observe (request_seconds "hello") dt
+        | `Oversized -> count t `Error);
+      wait_idle = (fun () -> wait_idle t);
+    }
+    ic oc
 
 let serve_tcp ?wire t ~host ~port ?connections () =
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (resolve host, port));
-  Unix.listen sock 16;
-  Printf.eprintf "rvu serve: listening on %s:%d\n%!" host port;
+  let sock = Transport.listen ~name:"serve" ~host ~port in
   let rec loop remaining =
     if remaining <> Some 0 then begin
       let fd, _peer = Unix.accept sock in
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      Rvu_obs.Log.debug "connection accepted";
-      (try serve_channels ?wire t ic oc
-       with e ->
-         Rvu_obs.Log.error
-           ~fields:[ ("exn", Wire.String (Printexc.to_string e)) ]
-           "connection error";
-         Printf.eprintf "rvu serve: connection error: %s\n%!"
-           (Printexc.to_string e));
-      Rvu_obs.Log.debug "connection closed";
-      (* One close only: ic and oc share the descriptor. *)
-      close_out_noerr oc;
+      Transport.serve_socket ~name:"serve" (serve_channels ?wire t) fd;
       loop (Option.map (fun n -> n - 1) remaining)
     end
   in

@@ -112,8 +112,8 @@ val health_json : t -> Wire.t
 
 val serve_channels :
   ?wire:Wire_bin.mode -> t -> in_channel -> out_channel -> unit
-(** Serve until end-of-input, then drain outstanding requests and flush.
-    Responses are written under a lock, flushed per record.
+(** Serve until end-of-input, then drain outstanding requests and flush:
+    {!Transport.serve} with this server's handlers, limit and counters.
 
     [wire] (default [Json]) is the connection's starting codec. In the
     default NDJSON start, a [hello] record with ["wire":"binary"] as the
@@ -124,12 +124,6 @@ val serve_channels :
     with — falls back to line discipline, so hello-negotiating clients
     still work against a pinned server. *)
 
-val resolve_host : string -> Unix.inet_addr
-(** Resolve a host name or dotted quad (first address wins), raising
-    [Invalid_argument] when it does not resolve — shared with the cluster
-    router and the CLI's client-side connectors so every component
-    resolves endpoints the same way. *)
-
 val serve_tcp :
   ?wire:Wire_bin.mode ->
   t ->
@@ -139,11 +133,11 @@ val serve_tcp :
   unit ->
   unit
 (** Bind, listen, and serve connections sequentially (each runs
-    {!serve_channels} on the socket with the same [wire] starting codec;
-    requests within a connection are still concurrent). [connections]
-    bounds how many connections to serve before returning (default: serve
-    forever). A connection error is logged to [stderr] and the accept
-    loop continues. *)
+    {!serve_channels} on the socket, with [TCP_NODELAY] set and the same
+    [wire] starting codec; requests within a connection are still
+    concurrent). [connections] bounds how many connections to serve
+    before returning (default: serve forever). A connection error is
+    logged to [stderr] and the accept loop continues. *)
 
 val stop : t -> unit
 (** Drain and join the worker domains. *)

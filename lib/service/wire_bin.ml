@@ -369,8 +369,8 @@ type read_result =
   | Oversized of int
   | Truncated
 
-let input_frame ?first ?max_bytes ic =
-  match (match first with Some c -> c | None -> input_char ic) with
+let input_frame ?max_bytes ic =
+  match input_char ic with
   | exception End_of_file -> Eof
   | c0 -> (
       match

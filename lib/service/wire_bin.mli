@@ -114,8 +114,6 @@ type read_result =
           length is guesswork — answer and close) *)
   | Truncated  (** end of stream inside a prefix or payload *)
 
-val input_frame : ?first:char -> ?max_bytes:int -> in_channel -> read_result
-(** Read one frame, blocking until the payload is complete. [first], if
-    given, is a byte the caller already consumed from the channel and is
-    treated as the first byte of the length prefix — used by transports
-    that sniff the opening byte of a pinned-binary connection. *)
+val input_frame : ?max_bytes:int -> in_channel -> read_result
+(** Read one frame, blocking until the payload is complete — for
+    clients; the serving side reads through {!Transport}. *)

@@ -268,3 +268,37 @@ let proto_compute_request_gen =
            { attrs; d_lo; d_hi = d_lo +. width; points; bearing; r; horizon = 1e8 })
     in
     oneof [ simulate; search; feasibility; bound; schedule; batch ])
+
+(* ------------------------------------------------------------------ *)
+(* Reading responses under a watchdog *)
+
+(* Read from [fd] until [complete] holds of everything read so far,
+   failing if that takes longer than [seconds]. The request side stays
+   open meanwhile, so a response held back for more input shows up as a
+   timeout here rather than as a hang. *)
+let read_within ~seconds fd ~complete =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let got = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  while not (complete (Buffer.contents got)) do
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0.0 then
+      Alcotest.failf "responses still missing after %.0f s (%d bytes read)"
+        seconds (Buffer.length got);
+    match Unix.select [ fd ] [] [] left with
+    | [], _, _ -> ()
+    | _ ->
+        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+        if n = 0 then Alcotest.fail "connection closed early";
+        Buffer.add_subbytes got chunk 0 n
+  done;
+  Buffer.contents got
+
+let count_lines s = List.length (String.split_on_char '\n' s) - 1
+
+let rec count_frames ?(pos = 0) s =
+  if String.length s - pos < 4 then 0
+  else
+    let n = Int32.to_int (String.get_int32_be s pos) in
+    if String.length s - pos - 4 < n then 0
+    else 1 + count_frames ~pos:(pos + 4 + n) s
+

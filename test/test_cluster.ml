@@ -590,6 +590,184 @@ let test_router_binary_bit_identity () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Router client connections: the shared transport *)
+
+module Wb = Rvu_service.Wire_bin
+module Metrics = Rvu_obs.Metrics
+module Log = Rvu_obs.Log
+
+(* A router with a small record limit (128 - 64 bytes of envelope
+   headroom = 64) over one endpoint nobody listens on: every shard stays
+   down, so the router answers locally (health fans out to no shard). *)
+let with_lone_router f =
+  let config =
+    {
+      Router.default_config with
+      max_request_bytes = 128;
+      connect_timeout_ms = 100.;
+      restart_backoff_ms = 60_000.;
+    }
+  in
+  let router = Router.create ~config ~endpoints:[ endpoint 7579 ] () in
+  Fun.protect ~finally:(fun () -> Router.stop router) @@ fun () -> f router
+
+(* One Router.serve_channels session over OS pipes, as test_service's
+   [with_conn] does for a server: [f] gets the client ends. *)
+let with_router_conn router f =
+  let req_r, req_w = Unix.pipe ~cloexec:false () in
+  let resp_r, resp_w = Unix.pipe ~cloexec:false () in
+  let sic = Unix.in_channel_of_descr req_r in
+  let soc = Unix.out_channel_of_descr resp_w in
+  let domain =
+    Domain.spawn (fun () ->
+        Router.serve_channels router sic soc;
+        close_in_noerr sic;
+        close_out_noerr soc)
+  in
+  let oc = Unix.out_channel_of_descr req_w in
+  let ic = Unix.in_channel_of_descr resp_r in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr oc;
+      Domain.join domain;
+      close_in_noerr ic)
+  @@ fun () -> f oc ic
+
+let error_message w =
+  match Option.bind (Wire.member "error" w) (Wire.member "message") with
+  | Some (Wire.String m) -> m
+  | _ -> ""
+
+(* The router reads client lines with the server's bounded reader: a
+   line far over its limit is answered with the oversized error, byte
+   count and all, and the next request on the connection is served. *)
+let test_router_hostile_line_bounded () =
+  with_lone_router @@ fun router ->
+  with_router_conn router @@ fun oc ic ->
+  let big = 3 * 1024 * 1024 in
+  output_string oc (String.make big 'x');
+  output_string oc "\n{\"id\":2,\"kind\":\"health\"}\n";
+  flush oc;
+  let r1 = Result.get_ok (Wire.parse (input_line ic)) in
+  let r2 = Result.get_ok (Wire.parse (input_line ic)) in
+  check_string "oversized line answered with the full byte count"
+    (Printf.sprintf "request line of %d bytes exceeds the 64 byte limit" big)
+    (error_message r1);
+  check_bool "the next request is served" true
+    (Wire.member "id" r2 = Some (Wire.Int 2) && Wire.member "ok" r2 <> None)
+
+let ring_has needle =
+  List.exists
+    (fun line ->
+      let nh = String.length line and nn = String.length needle in
+      let rec at i = i + nn <= nh && (String.sub line i nn = needle || at (i + 1)) in
+      at 0)
+    (Log.ring_contents ())
+
+(* The router's hello is counted, logged and timed like a server's, and
+   its oversized-frame reply is the server's: same message, same log
+   record, then the connection closes. *)
+let test_router_hello_and_oversized_frame () =
+  with_lone_router @@ fun router ->
+  let latency = Metrics.histogram "rvu_router_request_seconds" in
+  let before = Metrics.histogram_count latency in
+  Log.configure ~level:Log.Info (Log.Ring 64);
+  Fun.protect ~finally:Log.close @@ fun () ->
+  with_router_conn router @@ fun oc ic ->
+  output_string oc "{\"id\":0,\"kind\":\"hello\",\"wire\":\"binary\"}\n";
+  flush oc;
+  let hello = Result.get_ok (Wire.parse (input_line ic)) in
+  check_bool "hello acknowledged" true
+    (Wire.member "ok" hello = Some (Wire.Obj [ ("wire", Wire.String "binary") ]));
+  check_int "hello timed into the request histogram" (before + 1)
+    (Metrics.histogram_count latency);
+  check_bool "hello logged as a response" true
+    (ring_has {|"msg":"response"|} && ring_has {|"kind":"hello"|});
+  output_string oc "\x00\x01\x00\x00" (* announces 65536 bytes *);
+  flush oc;
+  (match Wb.input_frame ic with
+  | Wb.Frame p ->
+      check_string "the server's oversized message, with the router's limit"
+        "request frame of 65536 bytes exceeds the 64 byte limit"
+        (error_message (Result.get_ok (Wb.decode p)))
+  | _ -> Alcotest.fail "no response frame for the oversized length");
+  check_bool "oversized frame logged" true (ring_has "request rejected: oversized");
+  match Wb.input_frame ic with
+  | Wb.Eof -> ()
+  | _ -> Alcotest.fail "connection not closed after the oversized frame"
+
+(* Through the router, N requests in one write — routed ones answered
+   on shard reader domains, local rejections on the connection's own
+   domain — then local rejections alone: every response arrives with no
+   further input. *)
+let test_router_no_response_waits_for_input () =
+  let ports = [ 7571; 7572 ] in
+  let workers = List.map spawn_worker ports in
+  let config =
+    { Router.default_config with probe_interval_ms = 100.; connect_timeout_ms = 5000. }
+  in
+  let router = Router.create ~config ~endpoints:(List.map endpoint ports) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      stop_workers workers)
+  @@ fun () ->
+  with_router_conn router @@ fun oc ic ->
+  let fd = Unix.descr_of_in_channel ic in
+  let n = 40 in
+  let batch line =
+    output_string oc (String.concat "" (List.init n (fun i -> line (i + 1) ^ "\n")));
+    flush oc;
+    ignore
+      (Gen.read_within ~seconds:20.0 fd ~complete:(fun s ->
+           Gen.count_lines s = n))
+  in
+  batch (fun id ->
+      if id mod 2 = 0 then "[1]"
+      else Printf.sprintf {|{"id":%d,"kind":"feasibility","v":%d}|} id (id + 1));
+  batch (fun _ -> "[1]")
+
+(* serve_tcp joins finished session domains as it accepts new ones:
+   after 20 sequential connections, the 21st finds at most a few
+   unjoined, not 20. *)
+let test_router_reaps_sessions () =
+  with_lone_router @@ fun router ->
+  let port = 7573 in
+  let served =
+    Domain.spawn (fun () ->
+        Router.serve_tcp router ~host:"127.0.0.1" ~port ~connections:21 ())
+  in
+  let sessions = Metrics.gauge "rvu_router_sessions" in
+  let rec connect tries =
+    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    match Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+    | () -> sock
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
+        Unix.close sock;
+        Unix.sleepf 0.05;
+        connect (tries - 1)
+  in
+  let session () =
+    let sock = connect 100 in
+    let ic = Unix.in_channel_of_descr sock and oc = Unix.out_channel_of_descr sock in
+    output_string oc "{\"id\":1,\"kind\":\"health\"}\n";
+    flush oc;
+    ignore (input_line ic : string);
+    sock
+  in
+  for _ = 1 to 20 do
+    Unix.close (session ())
+  done;
+  let last = session () in
+  let unjoined = Metrics.gauge_value sessions in
+  Unix.close last;
+  Domain.join served;
+  check_bool
+    (Printf.sprintf "%.0f session domains unjoined after 21 connections" unjoined)
+    true (unjoined <= 5.0);
+  check_bool "all joined on return" true (Metrics.gauge_value sessions = 0.0)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "rvu_cluster"
@@ -633,5 +811,16 @@ let () =
             test_router_routes_around_dead_endpoint;
           Alcotest.test_case "routed binary is byte-identical" `Quick
             test_router_binary_bit_identity;
+        ] );
+      ( "router transport",
+        [
+          Alcotest.test_case "hostile line bounded, connection kept" `Quick
+            test_router_hostile_line_bounded;
+          Alcotest.test_case "hello and oversized frame as a server's" `Quick
+            test_router_hello_and_oversized_frame;
+          Alcotest.test_case "no response waits for more input" `Quick
+            test_router_no_response_waits_for_input;
+          Alcotest.test_case "serve_tcp reaps finished sessions" `Quick
+            test_router_reaps_sessions;
         ] );
     ]

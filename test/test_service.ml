@@ -1125,6 +1125,212 @@ let test_frame_midstream_hello_rejected () =
     (error_code r = None);
   close_out oc
 
+(* ------------------------------------------------------------------ *)
+(* Transport: the record reader and the flush rule *)
+
+module Transport = Rvu_service.Transport
+
+let show_record = function
+  | Transport.Line l -> Printf.sprintf "Line(%d)" (String.length l)
+  | Transport.Frame p -> Printf.sprintf "Frame(%d)" (String.length p)
+  | Transport.Eof -> "Eof"
+  | Transport.Oversized n -> Printf.sprintf "Oversized %d" n
+  | Transport.Truncated -> "Truncated"
+
+(* A record stream: its mode, its bytes, the reader's limit, and the
+   sizes of the writes that deliver it. Lines may run past 64 KiB (the
+   reader's initial buffer) and end unterminated; frame streams may end
+   inside a length prefix or a payload. *)
+type stream = {
+  s_mode : Wb.mode;
+  s_bytes : string;
+  s_limit : int;
+  s_chunks : int list;
+}
+
+let stream_gen =
+  let open QCheck.Gen in
+  let size =
+    frequency [ (8, int_range 0 300); (1, int_range 65_000 140_000) ]
+  in
+  let body n = string_size ~gen:(char_range ' ' '~') (return n) in
+  let lines =
+    let* ls = list_size (int_range 0 8) (size >>= body) in
+    let* tail = frequency [ (2, return ""); (1, int_range 1 200 >>= body) ] in
+    return (String.concat "" (List.map (fun l -> l ^ "\n") ls) ^ tail)
+  in
+  let frames =
+    let* ps =
+      list_size (int_range 0 8)
+        (size >>= fun n -> string_size ~gen:char (return n))
+    in
+    let whole = String.concat "" (List.map Wb.frame ps) in
+    let* ending =
+      frequency
+        [
+          (3, return "");
+          (1, map (fun k -> String.sub "\x00\x00\x00" 0 k) (int_range 1 3));
+          (* a 256-byte frame cut short *)
+          ( 1,
+            map
+              (fun k -> "\x00\x00\x01\x00" ^ String.make k 'p')
+              (int_range 0 255) );
+        ]
+    in
+    return (whole ^ ending)
+  in
+  let* s_mode = oneofl [ Wb.Json; Wb.Binary ] in
+  let* s_bytes = (match s_mode with Wb.Json -> lines | Wb.Binary -> frames) in
+  let* s_limit =
+    frequency [ (3, return (1 lsl 30)); (1, int_range 0 100_000) ]
+  in
+  let* s_chunks =
+    list_size (int_range 1 40)
+      (frequency [ (3, int_range 1 7); (2, int_range 8 70_000) ])
+  in
+  return { s_mode; s_bytes; s_limit; s_chunks }
+
+(* What the stdlib readers make of the same bytes, in the reader's
+   vocabulary: [input_line] lines (those over the limit as [Oversized]
+   with their length), or [Wire_bin.input_frame] frames up to the first
+   non-frame result. *)
+let stdlib_records s =
+  let path = Filename.temp_file "rvu_transport" ".bin" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc s.s_bytes);
+  let ic = open_in_bin path in
+  let rec go acc =
+    match s.s_mode with
+    | Wb.Json -> (
+        match input_line ic with
+        | l when String.length l > s.s_limit ->
+            go (Transport.Oversized (String.length l) :: acc)
+        | l -> go (Transport.Line l :: acc)
+        | exception End_of_file -> List.rev (Transport.Eof :: acc))
+    | Wb.Binary -> (
+        match Wb.input_frame ~max_bytes:s.s_limit ic with
+        | Wb.Frame p -> go (Transport.Frame p :: acc)
+        | Wb.Eof -> List.rev (Transport.Eof :: acc)
+        | Wb.Truncated -> List.rev (Transport.Truncated :: acc)
+        | Wb.Oversized n -> List.rev (Transport.Oversized n :: acc))
+  in
+  let records = go [] in
+  close_in ic;
+  Sys.remove path;
+  records
+
+(* The same bytes through a pipe, written in [s_chunks]-sized pieces
+   (cycled) from another domain, read by {!Transport.reader}. *)
+let transport_records s =
+  let r_fd, w_fd = Unix.pipe ~cloexec:false () in
+  let writer =
+    Domain.spawn (fun () ->
+        let oc = Unix.out_channel_of_descr w_fd in
+        let n = String.length s.s_bytes in
+        let rec go pos chunks =
+          if pos < n then begin
+            let chunks = if chunks = [] then s.s_chunks else chunks in
+            let k = min (List.hd chunks) (n - pos) in
+            output_substring oc s.s_bytes pos k;
+            flush oc;
+            go (pos + k) (List.tl chunks)
+          end
+        in
+        go 0 s.s_chunks;
+        close_out oc)
+  in
+  let ic = Unix.in_channel_of_descr r_fd in
+  let r = Transport.reader ~max_bytes:s.s_limit ic in
+  let rec go acc =
+    match Transport.read r s.s_mode with
+    | (Transport.Line _ | Transport.Frame _) as x -> go (x :: acc)
+    | Transport.Oversized _ as x when s.s_mode = Wb.Json -> go (x :: acc)
+    | x -> List.rev (x :: acc)
+  in
+  let records = go [] in
+  (* Drain whatever an early stop left unread so the writer finishes. *)
+  (try
+     while input ic (Bytes.create 65536) 0 65536 > 0 do
+       ()
+     done
+   with _ -> ());
+  Domain.join writer;
+  close_in ic;
+  records
+
+let prop_reader_differential =
+  QCheck.Test.make ~count:200
+    ~name:"Transport reader = input_line / Wire_bin.input_frame"
+    (QCheck.make stream_gen ~print:(fun s ->
+         Printf.sprintf "%s, %d bytes, limit %d, chunks [%s]"
+           (Wb.mode_string s.s_mode) (String.length s.s_bytes) s.s_limit
+           (String.concat ";" (List.map string_of_int s.s_chunks))))
+    (fun s ->
+      let expected = stdlib_records s and got = transport_records s in
+      expected = got
+      || QCheck.Test.fail_reportf "stdlib [%s]@ transport [%s]"
+           (String.concat "; " (List.map show_record expected))
+           (String.concat "; " (List.map show_record got)))
+
+(* N requests in one write, with nothing after it: result- or
+   frame-cache hits answered on the connection's reader domain and misses
+   answered on a Sched worker. Every response must arrive without
+   further input. *)
+let test_no_response_waits_for_input () =
+  let config = { conn_config with Server.queue_depth = 64; cache_entries = 64 } in
+  List.iter
+    (fun wire ->
+      with_conn ~wire config @@ fun oc ic ->
+      let fd = Unix.descr_of_in_channel ic in
+      let msg id v =
+        let line = Printf.sprintf {|{"id":%d,"kind":"feasibility","v":%g}|} id v in
+        match wire with
+        | Wb.Json -> line ^ "\n"
+        | Wb.Binary -> Wb.frame (Wb.encode (Result.get_ok (Wire.parse line)))
+      in
+      let complete n s =
+        match wire with
+        | Wb.Json -> Gen.count_lines s = n
+        | Wb.Binary -> Gen.count_frames s = n
+      in
+      (* Warm the caches so the even-numbered requests below hit. *)
+      output_string oc (msg 0 2.0);
+      flush oc;
+      ignore (Gen.read_within ~seconds:20.0 fd ~complete:(complete 1));
+      let n = 40 in
+      let batch v =
+        output_string oc (String.concat "" (List.init n (fun i -> msg (i + 1) (v i))));
+        flush oc;
+        ignore (Gen.read_within ~seconds:20.0 fd ~complete:(complete n))
+      in
+      (* Hits and misses interleaved, then hits alone: with no worker
+         response to carry them, held hits must still go out. *)
+      batch (fun i -> if i mod 2 = 0 then 2.0 else 3.0 +. float_of_int i);
+      batch (fun _ -> 2.0))
+    [ Wb.Json; Wb.Binary ]
+
+(* A line far over the limit costs the server one buffer, not the
+   line: it is answered with the oversized error (the byte count is the
+   whole line's) and the connection keeps serving. *)
+let test_hostile_line_bounded () =
+  let config = { conn_config with Server.max_request_bytes = 64 } in
+  with_conn config @@ fun oc ic ->
+  let big = 3 * 1024 * 1024 in
+  output_string oc (String.make big 'x');
+  output_string oc "\n{\"id\":2,\"kind\":\"health\"}\n";
+  flush oc;
+  let r1 = Result.get_ok (Wire.parse (input_line ic)) in
+  let r2 = Result.get_ok (Wire.parse (input_line ic)) in
+  check_bool "oversized line answers invalid_request" true
+    (error_code r1 = Some "invalid_request");
+  check_bool "with the whole line's byte count" true
+    (contains
+       ~needle:(Printf.sprintf "request line of %d bytes exceeds the 64 byte limit" big)
+       (Wire.print r1));
+  check_bool "the next request is served" true
+    (error_code r2 = None && Wire.member "id" r2 = Some (Wire.Int 2));
+  close_out oc;
+  expect_eof ic "the served request"
+
 let () =
   Alcotest.run "service"
     [
@@ -1216,5 +1422,13 @@ let () =
             `Quick test_frame_json_line_after_upgrade;
           Alcotest.test_case "mid-stream hello rejected" `Quick
             test_frame_midstream_hello_rejected;
+        ] );
+      ( "transport",
+        [
+          QCheck_alcotest.to_alcotest prop_reader_differential;
+          Alcotest.test_case "no response waits for more input" `Quick
+            test_no_response_waits_for_input;
+          Alcotest.test_case "hostile line bounded, connection kept" `Quick
+            test_hostile_line_bounded;
         ] );
     ]
