@@ -811,9 +811,6 @@ let () =
             test_router_routes_around_dead_endpoint;
           Alcotest.test_case "routed binary is byte-identical" `Quick
             test_router_binary_bit_identity;
-        ] );
-      ( "router transport",
-        [
           Alcotest.test_case "hostile line bounded, connection kept" `Quick
             test_router_hostile_line_bounded;
           Alcotest.test_case "hello and oversized frame as a server's" `Quick
